@@ -2,7 +2,7 @@
 //!
 //! The PR's tentpole claim: range-partitioning the GFU keyspace across
 //! N latency-realistic shards and scattering each query's prefix-scan
-//! runs across them (`IndexOptions::fetch_parallelism`) lifts QPS on a
+//! runs across them (one fetch worker per shard) lifts QPS on a
 //! mixed ingest+query meter workload by ≥2× at 4 shards — with answers
 //! bit-identical to the single-node engine. This module stands up the
 //! lab: build the index once on a plain in-memory store, mirror it into
@@ -15,9 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dgf_common::{Result, Row, TempDir, Value};
-use dgf_core::{
-    DgfEngine, DgfIndex, DimPolicy, Extents, IndexOptions, SplittingPolicy,
-};
+use dgf_core::{DgfEngine, DgfIndex, DimPolicy, Extents, SplittingPolicy};
 use dgf_format::FileFormat;
 use dgf_hive::{HiveContext, ServeOptions, TableRef};
 use dgf_kvstore::{KvStore, LatencyKv, LatencyModel, MemKvStore, ShardedKv};
@@ -221,11 +219,20 @@ impl ServingLab {
     }
 
     /// Run one serving pass: mirror the index into `shards`
-    /// latency-realistic stores, open the engine over the router with
-    /// `fetch_parallelism = shards`, and drive the query list from
+    /// latency-realistic stores, open the engine over the router (which
+    /// fetches with one worker per shard), and drive the query list from
     /// concurrent clients while (optionally) a background writer lands
     /// the held-back days through the same router.
     pub fn serve_pass(&self, shards: usize, with_ingest: bool) -> Result<ServePass> {
+        // Start from the built base table. The mirror below restores the
+        // built index, whose view counts only the loaded files; a delta
+        // an earlier pass's appends left behind would read as unindexed
+        // data and fail every query planned outside an append.
+        for (path, _) in self.ctx.hdfs.list_files(&self.base.location) {
+            if path.contains("/delta-") {
+                self.ctx.hdfs.delete_file(&path)?;
+            }
+        }
         let stores: Vec<Arc<dyn KvStore>> = (0..shards)
             .map(|_| {
                 Arc::new(LatencyKv::new(MemKvStore::new(), LatencyModel::hbase_like()))
@@ -239,19 +246,15 @@ impl ServingLab {
         let kv: Arc<dyn KvStore> = Arc::clone(&router) as Arc<dyn KvStore>;
         mirror_kv(self.single.as_ref(), kv.as_ref())?;
 
-        let reader = DgfIndex::open_with_options(
+        // The 1-shard pass is the single-node baseline (the stock
+        // sequential engine); sharded passes scatter one in-flight fetch
+        // per shard.
+        let reader = DgfIndex::open(
             Arc::clone(&self.ctx),
             Arc::clone(&self.base),
             Arc::clone(&kv),
             INDEX,
             aggs(),
-            IndexOptions {
-                // The 1-shard pass is the single-node baseline (the
-                // stock sequential engine); sharded passes scatter one
-                // in-flight fetch per shard.
-                fetch_parallelism: shards,
-                ..IndexOptions::default()
-            },
         )?;
         let frontend = ServeFrontend::new(
             DgfEngine::new(Arc::new(reader)),
@@ -264,13 +267,12 @@ impl ServingLab {
 
         let report = std::thread::scope(|scope| -> Result<_> {
             let writer = if with_ingest {
-                let writer_index = DgfIndex::open_with_options(
+                let writer_index = DgfIndex::open(
                     Arc::clone(&self.ctx),
                     Arc::clone(&self.base),
                     Arc::clone(&kv),
                     INDEX,
                     aggs(),
-                    IndexOptions::default(),
                 )?;
                 let batch = &self.append_batch;
                 Some(scope.spawn(move || -> Result<()> {
@@ -374,16 +376,24 @@ mod tests {
         }
     }
 
-    /// Mixed ingest+query still completes every query, and the JSON
-    /// document carries the schema EXPERIMENTS.md documents.
+    /// Back-to-back mixed ingest+query passes each complete every
+    /// query, each starts from the built base table (only the last
+    /// pass's append deltas remain on top of it), and the JSON document
+    /// carries the schema EXPERIMENTS.md documents.
     #[test]
     fn mixed_ingest_pass_completes_and_reports() {
         let lab = ServingLab::build(ServingConfig::tiny()).unwrap();
+        let base_files = || lab.ctx.hdfs.list_files(&lab.base.location).len();
+        let built = base_files();
         let p1 = lab.serve_pass(1, true).unwrap();
+        let after_one = base_files();
+        assert!(after_one > built, "the first pass appended nothing");
         let p4 = lab.serve_pass(4, true).unwrap();
+        assert_eq!(base_files(), after_one, "a pass started past the built file set");
         assert_eq!(p1.failed, 0);
         assert_eq!(p4.failed, 0);
         assert_eq!(p1.completed as usize, lab.queries().len());
+        assert_eq!(p4.completed as usize, lab.queries().len());
         let json = serving_json("tiny", lab.rows, &[p1, p4]);
         for needle in [
             "\"experiment\":\"serving\"",

@@ -212,12 +212,6 @@ pub mod names {
     /// Per-shard sub-operations those fan-outs issued
     /// (`FanoutStats::shard_subops`).
     pub const SERVE_SHARD_SUBOPS: &str = "serve.shard_subops";
-    /// Shared header-fetch batches flushed to the store
-    /// (`BatchStats::flushes`).
-    pub const SERVE_BATCH_FLUSHES: &str = "serve.batch_flushes";
-    /// Point reads that joined another query's in-flight batch
-    /// (`BatchStats::joins`).
-    pub const SERVE_BATCH_JOINS: &str = "serve.batch_joins";
 }
 
 /// Category filter parsed from a `DGF_TRACE`-style string.

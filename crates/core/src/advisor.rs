@@ -176,11 +176,12 @@ pub fn recommend_policy(
     // |candidates|^dims; dims is 2–4 in practice).
     let n_dims = stats.len();
     let mut best: Option<Recommendation> = None;
-    let mut choice = vec![0usize; n_dims];
+    let grid = vec![(0, config.candidate_counts.len() as i64 - 1); n_dims];
+    let mut choice = vec![0i64; n_dims];
     loop {
         let counts: Vec<u64> = choice
             .iter()
-            .map(|i| config.candidate_counts[*i])
+            .map(|i| config.candidate_counts[*i as usize])
             .collect();
         if let Some(rec) = evaluate(&counts, &stats, &query_ranges, rows_total, config)? {
             if best.as_ref().is_none_or(|b| rec.expected_cost < b.expected_cost) {
@@ -188,25 +189,7 @@ pub fn recommend_policy(
             }
         }
         // Odometer over the candidate grid.
-        let mut d = n_dims;
-        loop {
-            if d == 0 {
-                break;
-            }
-            d -= 1;
-            if choice[d] + 1 < config.candidate_counts.len() {
-                choice[d] += 1;
-                for c in choice[d + 1..].iter_mut() {
-                    *c = 0;
-                }
-                break;
-            }
-            if d == 0 {
-                choice.clear();
-                break;
-            }
-        }
-        if choice.is_empty() {
+        if !crate::plan::advance(&mut choice, &grid) {
             break;
         }
     }

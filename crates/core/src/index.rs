@@ -111,20 +111,6 @@ pub struct IndexOptions {
     /// no-op when it is unset; pass [`Profiler::enabled`] to collect a
     /// [`QueryProfile`](dgf_common::obs::QueryProfile) unconditionally.
     pub profiler: Profiler,
-    /// Worker threads the prefix-scan planner may use to fetch key runs
-    /// concurrently (the serving tier's scatter). `1` — the default —
-    /// keeps the historical strictly sequential fetch; any value is
-    /// answer-preserving because runs are always *absorbed* in odometer
-    /// order regardless of fetch completion order (DESIGN.md §13).
-    pub fetch_parallelism: usize,
-    /// Whether *new builds* maintain the hierarchical aggregate pyramid
-    /// (see [`crate::pyramid`]). Ignored on [`open`](DgfIndex::open):
-    /// an existing store's `m:pyramid` metadata decides, because a
-    /// pyramid-bearing store must keep its nodes maintained on every
-    /// append regardless of who opens it (a stale node would silently
-    /// under-count), and a legacy store can never grow one in place
-    /// (its absent ancestors would read as empty).
-    pub pyramid: bool,
 }
 
 impl Default for IndexOptions {
@@ -134,8 +120,6 @@ impl Default for IndexOptions {
             retry: RetryPolicy::standard(),
             fault: None,
             profiler: Profiler::from_env(),
-            fetch_parallelism: 1,
-            pyramid: true,
         }
     }
 }
@@ -176,7 +160,6 @@ pub struct DgfIndex {
     generation: AtomicU64,
     header_cache: GfuHeaderCache,
     fresh_source: Mutex<Option<Arc<dyn FreshSource>>>,
-    fetch_parallelism: usize,
     /// Pyramid height when this store maintains one (`m:pyramid`);
     /// `None` disables both maintenance and the `Pyramid` plan strategy.
     pyramid: Option<u8>,
@@ -278,9 +261,7 @@ impl DgfIndex {
         }
         // The pyramid only pays off when headers exist to summarize, and
         // very wide grids would fan out 2^d children per node.
-        let pyramid = (options.pyramid
-            && !aggs.is_empty()
-            && policy.arity() <= pyramid::MAX_PYRAMID_ARITY)
+        let pyramid = (!aggs.is_empty() && policy.arity() <= pyramid::MAX_PYRAMID_ARITY)
             .then_some(pyramid::DEFAULT_PYRAMID_LEVELS);
         let heat = CellHeat::new(policy.arity());
         let index = DgfIndex {
@@ -297,7 +278,6 @@ impl DgfIndex {
             generation: AtomicU64::new(0),
             header_cache: GfuHeaderCache::new(DEFAULT_HEADER_CACHE_CAPACITY),
             fresh_source: Mutex::new(None),
-            fetch_parallelism: options.fetch_parallelism.max(1),
             pyramid,
             heat,
         };
@@ -407,8 +387,11 @@ impl DgfIndex {
         let placement = kv_retry(options.retry, kv.as_ref(), || kv.get(META_PLACEMENT_KEY))?
             .map(|b| SlicePlacement::decode(&b))
             .unwrap_or(SlicePlacement::KeyHash);
-        // The stored metadata decides, not `options.pyramid`: see
-        // [`IndexOptions::pyramid`].
+        // The stored metadata decides: a pyramid-bearing store must keep
+        // its nodes maintained on every append regardless of who opens
+        // it (a stale node would silently under-count), and a legacy
+        // store can never grow one in place (its absent ancestors would
+        // read as empty).
         let stored_pyramid = kv_retry(options.retry, kv.as_ref(), || kv.get(META_PYRAMID_KEY))?
             .as_deref()
             .map(pyramid::decode_meta)
@@ -431,7 +414,6 @@ impl DgfIndex {
             generation: AtomicU64::new(max_gen),
             header_cache: GfuHeaderCache::new(DEFAULT_HEADER_CACHE_CAPACITY),
             fresh_source: Mutex::new(None),
-            fetch_parallelism: options.fetch_parallelism.max(1),
             pyramid: stored_pyramid,
             heat,
         })
@@ -827,10 +809,13 @@ impl DgfIndex {
         &self.profiler
     }
 
-    /// Worker threads the prefix-scan planner uses to fetch key runs
-    /// (see [`IndexOptions::fetch_parallelism`]); `1` means sequential.
+    /// Worker threads the prefix-scan planner uses to fetch key runs:
+    /// one per shard of the store ([`KvStore::shard_count`]), so a
+    /// single-node store fetches sequentially. Any width is
+    /// answer-preserving because runs are always *absorbed* in odometer
+    /// order regardless of fetch completion order (DESIGN.md §13).
     pub fn fetch_parallelism(&self) -> usize {
-        self.fetch_parallelism
+        self.kv.shard_count().max(1)
     }
 
     /// Height of the maintained aggregate pyramid, or `None` when this

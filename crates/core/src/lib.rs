@@ -93,7 +93,7 @@ mod tests {
     use dgf_common::{Schema, TempDir, Value, ValueType};
     use dgf_format::FileFormat;
     use dgf_hive::{HiveContext, ScanEngine, TableRef};
-    use dgf_kvstore::MemKvStore;
+    use dgf_kvstore::{KvPair, KvStats, KvStore, MemKvStore, ShardedKv};
     use dgf_mapreduce::MrEngine;
     use dgf_query::{AggFunc, ColumnRange, Engine, Predicate, Query};
     use dgf_storage::{HdfsConfig, SimHdfs};
@@ -795,6 +795,138 @@ mod tests {
             &dgf_query::QueryResult::Scalars(vec![Value::Float(1.5)]),
             1e-9
         ));
+    }
+
+    /// Forwards to `inner`, recording which threads issue range scans
+    /// (the planner's run fetches).
+    struct ScanThreads {
+        inner: Arc<dyn KvStore>,
+        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl KvStore for ScanThreads {
+        fn put(&self, key: &[u8], value: &[u8]) -> dgf_common::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &[u8]) -> dgf_common::Result<Option<Vec<u8>>> {
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &[u8]) -> dgf_common::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn scan_range(&self, start: &[u8], end: &[u8]) -> dgf_common::Result<Vec<KvPair>> {
+            let id = std::thread::current().id();
+            self.threads.lock().unwrap().insert(id);
+            self.inner.scan_range(start, end)
+        }
+        fn update(
+            &self,
+            key: &[u8],
+            f: &mut dyn FnMut(Option<&[u8]>) -> Vec<u8>,
+        ) -> dgf_common::Result<()> {
+            self.inner.update(key, f)
+        }
+        fn multi_get(&self, keys: &[Vec<u8>]) -> dgf_common::Result<Vec<Option<Vec<u8>>>> {
+            self.inner.multi_get(keys)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn logical_size_bytes(&self) -> u64 {
+            self.inner.logical_size_bytes()
+        }
+        fn flush(&self) -> dgf_common::Result<()> {
+            self.inner.flush()
+        }
+        fn shard_count(&self) -> usize {
+            self.inner.shard_count()
+        }
+        fn stats(&self) -> &KvStats {
+            self.inner.stats()
+        }
+    }
+
+    /// The planner's fetch fan-out is the store's shard count: a reader
+    /// over a 4-shard router fetches its runs on 4 workers, a reader
+    /// over a plain store on the calling thread alone, and both answer
+    /// in the same float bits.
+    #[test]
+    fn fetch_fan_out_follows_the_store_shard_count() {
+        let (_t, ctx) = setup(1 << 20);
+        let schema = Arc::new(Schema::from_pairs(&[
+            ("A", ValueType::Int),
+            ("B", ValueType::Int),
+            ("C", ValueType::Float),
+        ]));
+        let tab = ctx.create_table("fan", schema, FileFormat::Text).unwrap();
+        let rows: Vec<Vec<Value>> = (0..16i64)
+            .flat_map(|a| (0..4i64).map(move |b| (a, b)))
+            .map(|(a, b)| {
+                vec![
+                    Value::Int(a),
+                    Value::Int(b),
+                    Value::Float((a * 4 + b) as f64 * 0.1),
+                ]
+            })
+            .collect();
+        ctx.load_rows(&tab, &rows, 1).unwrap();
+        let policy =
+            SplittingPolicy::new(vec![DimPolicy::int("A", 0, 1), DimPolicy::int("B", 0, 1)])
+                .unwrap();
+        let aggs = vec![AggFunc::Sum("C".into())];
+        let plain: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+        DgfIndex::build(
+            Arc::clone(&ctx),
+            Arc::clone(&tab),
+            policy,
+            aggs.clone(),
+            Arc::clone(&plain),
+            "dgf_fan",
+        )
+        .unwrap();
+        let shards: Vec<Arc<dyn KvStore>> = (0..4)
+            .map(|_| Arc::new(MemKvStore::new()) as Arc<dyn KvStore>)
+            .collect();
+        let boundaries = [4, 8, 12].map(|a| GfuKey::new(vec![a, 0]).encode());
+        let router = ShardedKv::new(shards, boundaries.to_vec()).unwrap();
+        for (k, v) in plain.scan_prefix(b"").unwrap() {
+            router.put(&k, &v).unwrap();
+        }
+
+        // B covers part of its extent, so each of the 16 A cells is one
+        // key run.
+        let q = Query::Aggregate {
+            aggs: aggs.clone(),
+            predicate: Predicate::all()
+                .and("A", ColumnRange::half_open(Value::Int(0), Value::Int(16)))
+                .and("B", ColumnRange::half_open(Value::Int(1), Value::Int(3))),
+        };
+        let mut sums = Vec::new();
+        for (kv, workers) in [(plain, 1usize), (Arc::new(router) as Arc<dyn KvStore>, 4)] {
+            let logged = Arc::new(ScanThreads {
+                inner: kv,
+                threads: Default::default(),
+            });
+            let idx = DgfIndex::open(
+                Arc::clone(&ctx),
+                Arc::clone(&tab),
+                Arc::clone(&logged) as Arc<dyn KvStore>,
+                "dgf_fan",
+                aggs.clone(),
+            )
+            .unwrap();
+            assert_eq!(idx.fetch_parallelism(), workers);
+            let run = DgfEngine::new(Arc::new(idx)).run(&q).unwrap();
+            let mut threads = logged.threads.lock().unwrap().clone();
+            threads.remove(&std::thread::current().id());
+            let spawned = if workers == 1 { 0 } else { workers };
+            assert_eq!(threads.len(), spawned, "{workers}-worker fetch");
+            match run.result.into_scalars()[0] {
+                Value::Float(f) => sums.push(f.to_bits()),
+                ref other => panic!("SUM(C) returned {other:?}"),
+            }
+        }
+        assert_eq!(sums[0], sums[1], "striped fetch changed the answer bits");
     }
 
     #[test]

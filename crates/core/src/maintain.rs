@@ -29,7 +29,7 @@
 //! The rewrite re-cells every record under the new policy in a single
 //! transaction whose manifest also *retires* the old-granularity keys
 //! (see [`crate::txn::TxnManifest::deletes`]), and the new policy rides
-//! the published [`ReadView`](crate::view::ReadView) so a pinned reader
+//! the published [`ReadView`] so a pinned reader
 //! can never pair one epoch's extents with another's cell geometry.
 
 use std::collections::{HashMap, HashSet};

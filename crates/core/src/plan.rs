@@ -252,6 +252,27 @@ impl Collector {
     }
 }
 
+/// Step `coord` to the next cell of the inclusive box `bounds` in
+/// odometer (= key) order, least-significant dimension last. Returns
+/// `false` — with `coord` wrapped back to the box's first cell — once
+/// the last cell has been visited. Allocation-free: the planner calls
+/// it once per fetched cell. `coord` must start inside a non-empty box.
+pub(crate) fn advance(coord: &mut [i64], bounds: &[(i64, i64)]) -> bool {
+    for (c, (lo, hi)) in coord.iter_mut().zip(bounds).rev() {
+        if *c < *hi {
+            *c += 1;
+            return true;
+        }
+        *c = *lo;
+    }
+    false
+}
+
+/// The inclusive `(lo, hi)` cell bounds of a span list.
+fn span_bounds(spans: &[DimSpan]) -> Vec<(i64, i64)> {
+    spans.iter().map(|s| (s.lo, s.hi)).collect()
+}
+
 /// Push every coordinate vector of an inclusive box, in odometer (= key)
 /// order. An empty box (inverted on any dimension) pushes nothing.
 fn enumerate_box(bounds: &[(i64, i64)], out: &mut Vec<Vec<i64>>) {
@@ -261,18 +282,7 @@ fn enumerate_box(bounds: &[(i64, i64)], out: &mut Vec<Vec<i64>>) {
     let mut coord: Vec<i64> = bounds.iter().map(|(lo, _)| *lo).collect();
     loop {
         out.push(coord.clone());
-        let mut advanced = false;
-        for d in (0..bounds.len()).rev() {
-            if coord[d] < bounds[d].1 {
-                coord[d] += 1;
-                for (c, (lo, _)) in coord[d + 1..].iter_mut().zip(&bounds[d + 1..]) {
-                    *c = *lo;
-                }
-                advanced = true;
-                break;
-            }
-        }
-        if !advanced {
+        if !advance(&mut coord, bounds) {
             return;
         }
     }
@@ -813,12 +823,11 @@ impl DgfIndex {
         headers_usable: bool,
         collector: &mut Collector,
     ) -> Result<()> {
-        let arity = spans.len();
         let mut inner_keys: Vec<Vec<u8>> = Vec::new();
         let mut boundary_keys: Vec<Vec<u8>> = Vec::new();
+        let bounds = span_bounds(spans);
         let mut coord: Vec<i64> = spans.iter().map(|s| s.lo).collect();
-        let mut done = false;
-        while !done {
+        loop {
             let covered =
                 headers_usable && spans.iter().zip(&coord).all(|(s, c)| s.covered(*c));
             let key = GfuKey::new(coord.clone()).encode();
@@ -827,18 +836,8 @@ impl DgfIndex {
             } else {
                 boundary_keys.push(key);
             }
-            // Odometer increment, least-significant dimension last.
-            done = true;
-            for d in (0..arity).rev() {
-                if coord[d] < spans[d].hi {
-                    coord[d] += 1;
-                    // Reset the less significant digits.
-                    for (s, span) in coord[d + 1..].iter_mut().zip(&spans[d + 1..]) {
-                        *s = span.lo;
-                    }
-                    done = false;
-                    break;
-                }
+            if !advance(&mut coord, &bounds) {
+                break;
             }
         }
         for key in &inner_keys {
@@ -892,24 +891,7 @@ impl DgfIndex {
 
         // Odometer over the prefix dimensions; each setting is one run.
         let mut prefixes: Vec<Vec<i64>> = Vec::new();
-        let mut prefix: Vec<i64> = spans[..scan_from].iter().map(|s| s.lo).collect();
-        loop {
-            prefixes.push(prefix.clone());
-            let mut advanced = false;
-            for d in (0..scan_from).rev() {
-                if prefix[d] < spans[d].hi {
-                    prefix[d] += 1;
-                    for (p, span) in prefix[d + 1..].iter_mut().zip(&spans[d + 1..scan_from]) {
-                        *p = span.lo;
-                    }
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                break;
-            }
-        }
+        enumerate_box(&span_bounds(&spans[..scan_from]), &mut prefixes);
 
         let workers = self.fetch_parallelism().min(prefixes.len());
         if workers <= 1 {
@@ -1001,9 +983,9 @@ impl DgfIndex {
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut all_hit = true;
-        let mut suffix: Vec<i64> = spans[scan_from..].iter().map(|s| s.lo).collect();
-        let mut done = false;
-        while !done {
+        let suffix_bounds = span_bounds(&spans[scan_from..]);
+        let mut suffix: Vec<i64> = suffix_bounds.iter().map(|(lo, _)| *lo).collect();
+        loop {
             let covered = prefix_covered
                 && spans[scan_from..]
                     .iter()
@@ -1022,16 +1004,8 @@ impl DgfIndex {
                 }
             }
             cells.push((key, covered, probe));
-            done = true;
-            for d in (0..suffix.len()).rev() {
-                if suffix[d] < spans[scan_from + d].hi {
-                    suffix[d] += 1;
-                    for (s, span) in suffix[d + 1..].iter_mut().zip(&spans[scan_from + d + 1..]) {
-                        *s = span.lo;
-                    }
-                    done = false;
-                    break;
-                }
+            if !advance(&mut suffix, &suffix_bounds) {
+                break;
             }
         }
 
@@ -1087,6 +1061,13 @@ impl DgfIndex {
         };
         let mut next_pair = 0usize;
         for (key, covered, _) in &fetched.cells {
+            // A scanned key outside the cell set means a commit published
+            // cells beyond the pinned extents mid-fetch (the view flips
+            // before live cells are written); skip it. Validation then
+            // sees the moved view and discards this attempt, fills and all.
+            while next_pair < pairs.len() && pairs[next_pair].0 < *key {
+                next_pair += 1;
+            }
             if next_pair < pairs.len() && pairs[next_pair].0 == *key {
                 let value = Arc::new(GfuValue::decode(&pairs[next_pair].1)?);
                 collector
@@ -1098,11 +1079,6 @@ impl DgfIndex {
                 collector.pending_fills.push((key.clone(), None));
             }
         }
-        debug_assert_eq!(
-            next_pair,
-            pairs.len(),
-            "scan returned a key outside the run's cell set"
-        );
         Ok(())
     }
 

@@ -181,23 +181,14 @@ pub fn decompose(inner: &[(i64, i64)], top: u8) -> Vec<NodeRef> {
     let mut out = Vec::new();
     // Odometer over the top-level nodes overlapping the box.
     let w = 1i64 << top;
-    let lo: Vec<i64> = inner.iter().map(|(l, _)| l.div_euclid(w)).collect();
-    let hi: Vec<i64> = inner.iter().map(|(_, h)| h.div_euclid(w)).collect();
-    let mut coord = lo.clone();
+    let nodes: Vec<(i64, i64)> = inner
+        .iter()
+        .map(|(l, h)| (l.div_euclid(w), h.div_euclid(w)))
+        .collect();
+    let mut coord: Vec<i64> = nodes.iter().map(|(lo, _)| *lo).collect();
     loop {
         visit(&mut out, inner, top, &coord);
-        let mut advanced = false;
-        for d in (0..coord.len()).rev() {
-            if coord[d] < hi[d] {
-                coord[d] += 1;
-                for (c, l) in coord[d + 1..].iter_mut().zip(&lo[d + 1..]) {
-                    *c = *l;
-                }
-                advanced = true;
-                break;
-            }
-        }
-        if !advanced {
+        if !crate::plan::advance(&mut coord, &nodes) {
             break;
         }
     }

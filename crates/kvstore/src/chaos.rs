@@ -103,6 +103,10 @@ impl KvStore for ChaosKv {
         self.inner.maintain()
     }
 
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+
     fn stats(&self) -> &KvStats {
         self.inner.stats()
     }
@@ -112,6 +116,7 @@ impl KvStore for ChaosKv {
 mod tests {
     use super::*;
     use crate::mem::MemKvStore;
+    use crate::shard::ShardedKv;
     use dgf_common::fault::{is_transient, FaultConfig, RetryPolicy};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -194,5 +199,16 @@ mod tests {
         let snap = kv.stats().snapshot();
         assert_eq!(snap.puts, 1);
         assert_eq!(snap.gets, 1);
+    }
+
+    #[test]
+    fn shard_count_passes_through_to_inner() {
+        assert_eq!(chaos(FaultConfig::quiet(1)).shard_count(), 1);
+        let shards: Vec<Arc<dyn KvStore>> = (0..3)
+            .map(|_| Arc::new(MemKvStore::new()) as Arc<dyn KvStore>)
+            .collect();
+        let router = ShardedKv::new(shards, vec![b"g".to_vec(), b"m".to_vec()]).unwrap();
+        let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(1)));
+        assert_eq!(ChaosKv::new(Arc::new(router), plan).shard_count(), 3);
     }
 }

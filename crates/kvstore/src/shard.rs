@@ -340,6 +340,10 @@ impl KvStore for ShardedKv {
         Ok(reclaimed)
     }
 
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
     fn stats(&self) -> &KvStats {
         &self.stats
     }
@@ -371,6 +375,7 @@ mod tests {
     #[test]
     fn routes_by_boundary() {
         let kv = router(3, &[b"g", b"m"]);
+        assert_eq!(kv.shard_count(), 3);
         assert_eq!(kv.shard_of(b"a"), 0);
         assert_eq!(kv.shard_of(b"fzz"), 0);
         assert_eq!(kv.shard_of(b"g"), 1); // boundary key belongs to the upper shard

@@ -253,6 +253,13 @@ pub trait KvStore: Send + Sync {
         Ok(0)
     }
 
+    /// Independent shards serving this store's keyspace. The planner
+    /// fetches key runs with one worker per shard; a single-node store
+    /// keeps the default of 1 (strictly sequential fetches).
+    fn shard_count(&self) -> usize {
+        1
+    }
+
     /// All pairs whose key starts with `prefix`, in key order.
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<KvPair>> {
         match prefix_upper_bound(prefix) {

@@ -31,8 +31,6 @@ use dgf_hive::ServeOptions;
 use dgf_kvstore::FanoutStats;
 use dgf_query::{Engine, EngineRun, Query, QueryResult, RunStats};
 
-use crate::batcher::BatchStats;
-
 /// Frontend counters (mirrored into a [`MetricsRegistry`] under the
 /// `serve.*` names by [`ServeStats::record_into`]).
 #[derive(Debug, Default)]
@@ -100,13 +98,6 @@ pub fn record_fanout_into(fanout: &FanoutStats, reg: &MetricsRegistry) {
     let (multi_gets, scans, subops) = fanout.snapshot();
     reg.add(names::SERVE_SCATTERS, multi_gets + scans);
     reg.add(names::SERVE_SHARD_SUBOPS, subops);
-}
-
-/// Mirror a batcher's counters into `reg` (`serve.batch_flushes`,
-/// `serve.batch_joins`).
-pub fn record_batch_into(batch: &BatchStats, reg: &MetricsRegistry) {
-    reg.add(names::SERVE_BATCH_FLUSHES, batch.flushes.load(Ordering::Relaxed));
-    reg.add(names::SERVE_BATCH_JOINS, batch.joins.load(Ordering::Relaxed));
 }
 
 /// One client's outcome for one query in [`ServeFrontend::run_concurrent`].
@@ -460,7 +451,6 @@ mod tests {
             workers: 1,
             max_inflight_bytes: 1 << 20,
             query_cost_bytes: 1 << 20,
-            ..ServeOptions::default()
         });
         let queries: Vec<Query> = (0..6).map(|m| range_query("meter_id", m, m + 1)).collect();
         let report = front.run_concurrent(&queries, 3);

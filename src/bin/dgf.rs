@@ -40,8 +40,8 @@
 //! over an existing index: the durable GFU log is mirrored into an
 //! N-shard range-partitioned router, the query is fanned out from C
 //! concurrent clients through admission control, and the answer plus a
-//! QPS / p50 / p99 / scatter summary is printed. `--batch-window US`
-//! turns on shared header-fetch batching across the concurrent clients.
+//! QPS / p50 / p99 / scatter summary is printed. Each query's key runs
+//! are fetched by one worker per shard.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -77,7 +77,7 @@ const USAGE: &str = "usage:
   dgf ingest <dir> <index> <file> [--batch N] [--flush]
   dgf query <dir> <table> \"SELECT ... [WHERE ...] [GROUP BY col]\" [--index <name>] [--explain]
   dgf profile <dir> <table> \"SELECT ... [WHERE ...]\" [--index <name>] [--json]
-  dgf serve <dir> <index> \"SELECT ...\" [--shards N] [--clients C] [--queries Q] [--batch-window US]
+  dgf serve <dir> <index> \"SELECT ...\" [--shards N] [--clients C] [--queries Q]
   dgf maintain <dir> <index> [--budget N] [--adapt] [--split-above N] [--merge-below N]
   dgf advise <dir> <table> --dims \"a,b\" --history \"pred; pred; ...\"";
 
@@ -476,7 +476,6 @@ fn dispatch(args: &[String]) -> Result<()> {
             let shards = parse_num("--shards", "4")?;
             let clients = parse_num("--clients", "4")?;
             let repeat = parse_num("--queries", "16")?;
-            let window = parse_num("--batch-window", "0")? as u64;
             if shards == 0 || clients == 0 || repeat == 0 {
                 return Err(DgfError::Query(
                     "--shards, --clients, and --queries must be positive".into(),
@@ -493,23 +492,11 @@ fn dispatch(args: &[String]) -> Result<()> {
             let router = Arc::new(sharded_mem(&extents, shards)?);
             let pairs = mirror_kv(durable.as_ref(), router.as_ref())?;
             drop(durable);
-            let store: Arc<dyn KvStore> = if window > 0 {
-                // Shared header-fetch batching: concurrent queries join
-                // one leader's batched multi_get within the window.
-                Arc::new(BatchingKv::new(
-                    Arc::clone(&router) as Arc<dyn KvStore>,
-                    std::time::Duration::from_micros(window),
-                ))
-            } else {
-                Arc::clone(&router) as Arc<dyn KvStore>
-            };
+            // The reader stripes key runs over one worker per shard.
             let index = Arc::new(w.open_index_on(
                 index_name,
-                store,
-                IndexOptions {
-                    fetch_parallelism: shards,
-                    ..IndexOptions::default()
-                },
+                Arc::clone(&router) as Arc<dyn KvStore>,
+                IndexOptions::default(),
             )?);
             let _fresh = w.attach_fresh(&index, index_name)?;
 
@@ -518,7 +505,6 @@ fn dispatch(args: &[String]) -> Result<()> {
                 DgfEngine::new(Arc::clone(&index)),
                 ServeOptions {
                     workers: clients,
-                    batch_window_us: window,
                     ..ServeOptions::default()
                 },
             );

@@ -790,8 +790,8 @@ fn queries_during_regrid_see_pre_or_post_state_only() {
 }
 
 /// Satellite (serving tier): the append race replayed on the *sharded*
-/// path. The reader opens over a 4-way [`ShardedKv`] router with
-/// `fetch_parallelism: 2`, so the seeded schedule now pauses inside the
+/// path. The reader opens over a 4-way [`ShardedKv`] router and so
+/// fetches with 4 workers; the seeded schedule now pauses inside the
 /// coordinator's scatter/fetch/merge (`serve.*`) and the router's own
 /// fan-out (`serve.router.*`) sync points too — a torn cross-shard read
 /// (shard A fetched pre-commit, shard B post-commit) is reproducible by
@@ -828,7 +828,6 @@ fn queries_during_append_on_the_sharded_path_see_pre_or_post_only() {
                 IndexOptions {
                     retry: retry(),
                     fault: Some(Arc::clone(&plan)),
-                    fetch_parallelism: 2,
                     ..IndexOptions::default()
                 },
             )

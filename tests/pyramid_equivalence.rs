@@ -133,7 +133,7 @@ fn build_over(
     Arc::new(index)
 }
 
-fn open_reader(w: &World, kv: Arc<dyn KvStore>, parallelism: usize) -> Arc<DgfIndex> {
+fn open_reader(w: &World, kv: Arc<dyn KvStore>) -> Arc<DgfIndex> {
     Arc::new(
         DgfIndex::open_with_options(
             Arc::clone(&w.ctx),
@@ -143,7 +143,6 @@ fn open_reader(w: &World, kv: Arc<dyn KvStore>, parallelism: usize) -> Arc<DgfIn
             aggs(),
             IndexOptions {
                 retry: retry(),
-                fetch_parallelism: parallelism,
                 ..IndexOptions::default()
             },
         )
@@ -246,9 +245,10 @@ fn all_three_strategies_answer_bit_identically_and_pyramid_engages() {
     );
 }
 
-/// Satellite: a store built with the pyramid disabled stores no
-/// `m:pyramid` meta and no `p:` keys; the Pyramid strategy then falls
-/// back wholesale and still answers bit-identically to flat.
+/// Satellite: a legacy store — one written before the pyramid existed,
+/// so it holds no `m:pyramid` meta and no `p:` keys — opens without a
+/// pyramid; the Pyramid strategy then falls back wholesale and still
+/// answers bit-identically to flat.
 #[test]
 fn pyramid_strategy_falls_back_cleanly_on_a_legacy_store() {
     let cfg = MeterConfig {
@@ -259,29 +259,19 @@ fn pyramid_strategy_falls_back_cleanly_on_a_legacy_store() {
     let rows = generate_meter_data(&cfg);
     let w = world("legacy");
     let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-    w.ctx.load_rows(&w.base, &rows, 2).unwrap();
-    let (index, _) = DgfIndex::build_with_options(
-        Arc::clone(&w.ctx),
-        Arc::clone(&w.base),
-        fine_grid(&cfg),
-        aggs(),
-        Arc::clone(&kv),
-        INDEX,
-        IndexOptions {
-            retry: retry(),
-            pyramid: false,
-            ..IndexOptions::default()
-        },
-    )
-    .unwrap();
-    let index = Arc::new(index);
+    let built = build_over(&w, Arc::clone(&kv), &rows, fine_grid(&cfg));
+    assert!(built.pyramid_levels().is_some());
+    drop(built);
+
+    // Strip the store back to what a pre-pyramid build wrote.
+    assert!(kv.delete(dgfindex::core::gfu::META_PYRAMID_KEY).unwrap());
+    let nodes = kv.scan_prefix(dgfindex::core::PYRAMID_PREFIX).unwrap();
+    assert!(!nodes.is_empty(), "default build wrote no p: keys");
+    for (key, _) in nodes {
+        kv.delete(&key).unwrap();
+    }
+    let index = open_reader(&w, Arc::clone(&kv));
     assert!(index.pyramid_levels().is_none());
-    assert!(
-        kv.scan_prefix(dgfindex::core::PYRAMID_PREFIX)
-            .unwrap()
-            .is_empty(),
-        "pyramid-disabled build wrote p: keys"
-    );
 
     let flat = answers_with(&index, &cfg, PlanStrategy::PrefixScan);
     let pyramid = answers_with(&index, &cfg, PlanStrategy::Pyramid);
@@ -363,7 +353,7 @@ fn crash_anywhere_in_append_recovers_a_consistent_pyramid() {
         assert!(inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty());
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
-        let index = open_reader(&w, Arc::clone(&inner), 1);
+        let index = open_reader(&w, Arc::clone(&inner));
         let flat = answers_with(&index, &cfg, PlanStrategy::PrefixScan);
         let pyramid = answers_with(&index, &cfg, PlanStrategy::Pyramid);
         assert!(
@@ -427,7 +417,7 @@ fn crash_between_individual_publish_writes_recovers_a_consistent_pyramid() {
         assert!(inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty());
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
-        let index = open_reader(&w, Arc::clone(&inner), 1);
+        let index = open_reader(&w, Arc::clone(&inner));
         let flat = answers_with(&index, &cfg, PlanStrategy::PrefixScan);
         let pyramid = answers_with(&index, &cfg, PlanStrategy::Pyramid);
         assert!(
@@ -492,7 +482,7 @@ proptest! {
         let ws = world(&format!("prop-s{shards}"));
         let router = Arc::new(sharded_mem(&extents, shards).unwrap());
         build_over(&ws, Arc::clone(&router) as Arc<dyn KvStore>, seeded, policy());
-        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>, shards.max(2));
+        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>);
         reader.append(appended).unwrap();
         let reader_ing = StreamIngestor::open(
             Arc::clone(&reader),

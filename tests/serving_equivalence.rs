@@ -132,12 +132,11 @@ fn build_over(w: &World, kv: Arc<dyn KvStore>, seeded: &[Row], policy: Splitting
     Arc::new(index)
 }
 
-/// Open a serving reader over `kv` with a scatter width and an optional
-/// scheduling plan.
+/// Open a serving reader over `kv` (its scatter width is the store's
+/// shard count) with an optional scheduling plan.
 fn open_reader(
     w: &World,
     kv: Arc<dyn KvStore>,
-    parallelism: usize,
     fault: Option<Arc<FaultPlan>>,
 ) -> dgfindex::common::Result<Arc<DgfIndex>> {
     Ok(Arc::new(DgfIndex::open_with_options(
@@ -149,7 +148,6 @@ fn open_reader(
         IndexOptions {
             retry: retry(),
             fault,
-            fetch_parallelism: parallelism,
             ..IndexOptions::default()
         },
     )?))
@@ -264,7 +262,6 @@ fn every_shard_count_answers_bit_identically_to_single_node() {
         let reader = open_reader(
             &w,
             Arc::clone(&router) as Arc<dyn KvStore>,
-            shards.max(2),
             None,
         )
         .unwrap();
@@ -289,7 +286,9 @@ fn every_shard_count_answers_bit_identically_to_single_node() {
 /// shards it straddles, one scan per logical range. (Physical per-shard
 /// sub-ops land in each shard's own stats; before the fix, a fanned-out
 /// batch was recounted per underlying shard op, so cost models read the
-/// sharded tier as N× more expensive than the identical plan.)
+/// sharded tier as N× more expensive than the identical plan.) The
+/// router's reader fetches with one worker per shard, the single-node
+/// reader sequentially: striping must not change a counter either.
 #[test]
 fn sharded_plan_counters_match_single_node_exactly() {
     let cfg = meter_cfg();
@@ -307,8 +306,11 @@ fn sharded_plan_counters_match_single_node_exactly() {
     let copied = mirror_kv(built.as_ref(), single.as_ref()).unwrap();
     assert_eq!(copied, mirror_kv(built.as_ref(), router.as_ref()).unwrap());
 
-    let a = open_reader(&w, Arc::clone(&single) as Arc<dyn KvStore>, 1, None).unwrap();
-    let b = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, 1, None).unwrap();
+    let a = open_reader(&w, Arc::clone(&single) as Arc<dyn KvStore>, None).unwrap();
+    let b = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, None).unwrap();
+    // The router's reader stripes its runs over four fetch workers; the
+    // logical counters must not notice.
+    assert_eq!((a.fetch_parallelism(), b.fetch_parallelism()), (1, 4));
     let before_single = single.stats().snapshot();
     let before_router = router.stats().snapshot();
 
@@ -362,7 +364,6 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
         let index = open_reader(
             &w,
             Arc::clone(&router) as Arc<dyn KvStore>,
-            2,
             Some(Arc::clone(&plan)),
         )
         .unwrap();
@@ -438,7 +439,6 @@ fn concurrent_clients_vs_flush_hold_one_answer_on_the_sharded_path() {
         let index = open_reader(
             &w,
             Arc::clone(&router) as Arc<dyn KvStore>,
-            2,
             Some(Arc::clone(&plan)),
         )
         .unwrap();
@@ -583,7 +583,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
     drop(built);
 
     // The committed-view oracle, through the healthy router.
-    let healthy = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, 2, None).unwrap();
+    let healthy = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, None).unwrap();
     let oracle = answers(&healthy, &cfg);
 
     // Kill a GFU-bearing shard below the metadata (last) shard, so the
@@ -619,7 +619,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
             inner: Arc::clone(&router.shards()[target]),
             countdown: AtomicI64::new(site),
         }));
-        let reader = match open_reader(&w, dead as Arc<dyn KvStore>, 2, None) {
+        let reader = match open_reader(&w, dead as Arc<dyn KvStore>, None) {
             Ok(reader) => reader,
             Err(_) => {
                 // Crash fired during open: a clean refusal, no answer.
@@ -654,7 +654,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
         storm_plan,
     )));
     let mut stormed = 0u32;
-    if let Ok(reader) = open_reader(&w, stormy as Arc<dyn KvStore>, 2, None) {
+    if let Ok(reader) = open_reader(&w, stormy as Arc<dyn KvStore>, None) {
         let engine = DgfEngine::new(reader);
         for (j, q) in mix.iter().enumerate() {
             match engine.run(q) {
@@ -712,7 +712,7 @@ proptest! {
         let ws = world(&format!("prop-s{shards}"));
         let router = Arc::new(sharded_mem(&extents, shards).unwrap());
         build_over(&ws, Arc::clone(&router) as Arc<dyn KvStore>, seeded, policy());
-        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>, shards, None).unwrap();
+        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>, None).unwrap();
         reader.append(rest).unwrap();
         let got = answers(&reader, &cfg);
         prop_assert!(
